@@ -174,6 +174,12 @@ impl GridWindow {
 /// beyond the cap).
 pub(crate) struct DialSolver {
     cells: Vec<u64>,
+    /// Per-cell blocked-cell count of the soft search, valid where the
+    /// cell word carries the current epoch tag and is discovered.
+    levels: Vec<u32>,
+    /// Soft-search cells discovered for the next level (packed
+    /// coordinates), queued once the current level is exhausted.
+    next_level: Vec<u64>,
     epoch: u32,
     queue: BucketQueue<u64>,
 }
@@ -196,6 +202,8 @@ const TAG_MASK: u64 = !0 << TAG_SHIFT;
 const FLAGS_MASK: u64 = 7;
 /// Arrival direction of a search source (no parent).
 const DIR_SOURCE: u64 = 6;
+/// Most target-component boxes the heuristic keeps (see [`TargetBoxes`]).
+const MAX_H_BOXES: usize = 8;
 /// Node-id deltas per direction: -x, +x, -y, +y, -z, +z. The y and z
 /// strides are grid-dependent and patched in per search.
 #[inline]
@@ -210,12 +218,139 @@ fn dir_deltas(w: u32, wh: u32) -> [i64; 6] {
     ]
 }
 
+/// Goal-directed lower bound: Manhattan distance to the nearest
+/// target-component bounding box, in clamped α units.
+///
+/// One box per target component: the minimum over them stays
+/// admissible and consistent (a minimum of 1-Lipschitz lower bounds)
+/// while being far tighter than the union box whenever the components
+/// are spread apart — the union box often *contains* the source,
+/// flattening `h` to zero over a wide region. Box count is capped so
+/// `h` stays O(1); overflow components fold into the last box, which
+/// only loosens (never breaks) the bound.
+struct TargetBoxes {
+    boxes: [(u32, u32, u32, u32); MAX_H_BOXES],
+    len: usize,
+    h_unit: u64,
+}
+
+impl TargetBoxes {
+    /// The heuristic at local column `x`, row `y`. Each planar step
+    /// costs at least `h_unit` and moves one grid unit, so this never
+    /// overestimates and drops by at most one step cost per move.
+    #[inline]
+    fn h(&self, x: u32, y: u32) -> u64 {
+        let mut best = u32::MAX;
+        for b in self.boxes.iter().take(self.len) {
+            let dx = b.0.saturating_sub(x).max(x.saturating_sub(b.2));
+            let dy = b.1.saturating_sub(y).max(y.saturating_sub(b.3));
+            best = best.min(dx + dy);
+            if best == 0 {
+                break;
+            }
+        }
+        u64::from(best) * self.h_unit
+    }
+}
+
+/// One candidate move: `(node, packed coordinates, step cost, direction)`.
+type Move = (u32, u64, u32, u64);
+
+/// Grid shape and search-wide inputs shared by both searches' move
+/// generation.
+struct Moves<'a> {
+    field: &'a CostField,
+    own_pins: &'a FastSet<Point>,
+    win: GridWindow,
+    w: u32,
+    wh: u32,
+    layers: u32,
+    ox: Coord,
+    oy: Coord,
+}
+
+impl<'a> Moves<'a> {
+    /// Move generation over `grid`, confined to `win`.
+    fn new(
+        grid: &DetailedGrid,
+        field: &'a CostField,
+        own_pins: &'a FastSet<Point>,
+        win: GridWindow,
+    ) -> Self {
+        Self {
+            field,
+            own_pins,
+            win,
+            w: grid.width(),
+            wh: grid.width() * grid.height(),
+            layers: u32::from(grid.layers()),
+            ox: grid.outline().x0(),
+            oy: grid.outline().y0(),
+        }
+    }
+
+    /// Writes the legal moves out of the popped cell `u` at packed
+    /// coordinates `packed` = `(x, y, l)` into `out` and returns how
+    /// many there are. Occupancy is the caller's business.
+    ///
+    /// Hard constraints (no riding a stitching line vertically; vias
+    /// on a line only at own pins) are keyed on the source cell, like
+    /// the legacy engine. Vias are listed *before* planar moves: the
+    /// bucket queue pops LIFO among equal keys, so equal-cost ties
+    /// continue in-plane rather than hop layers first. Neighbour
+    /// coordinates are one add on the packed word.
+    #[inline(always)]
+    fn expand(&self, u: u32, packed: u64, x: u32, y: u32, l: u32, out: &mut [Move; 4]) -> usize {
+        let field = self.field;
+        let (w, wh, win) = (self.w, self.wh, &self.win);
+        let lx = x as usize;
+        let src_on_line = field.on_line[lx];
+        let mut nc = 0usize;
+        let z_ok = !src_on_line
+            || self
+                .own_pins
+                .contains(&Point::new(self.ox + x as Coord, self.oy + y as Coord));
+        if z_ok {
+            if l > 0 {
+                out[nc] = (u - wh, packed - (1 << 40), field.via[lx], 4);
+                nc += 1;
+            }
+            if l + 1 < self.layers {
+                out[nc] = (u + wh, packed + (1 << 40), field.via[lx], 5);
+                nc += 1;
+            }
+        }
+        if l.is_multiple_of(2) {
+            if x > win.x0 {
+                out[nc] = (u - 1, packed - 1, field.planar[lx - 1], 0);
+                nc += 1;
+            }
+            if x < win.x1 {
+                out[nc] = (u + 1, packed + 1, field.planar[lx + 1], 1);
+                nc += 1;
+            }
+        } else if !src_on_line {
+            if y > win.y0 {
+                out[nc] = (u - w, packed - (1 << 20), field.planar[lx], 2);
+                nc += 1;
+            }
+            if y < win.y1 {
+                out[nc] = (u + w, packed + (1 << 20), field.planar[lx], 3);
+                nc += 1;
+            }
+        }
+        nc
+    }
+}
+
 impl DialSolver {
     /// Creates a solver whose bucket ring covers key increments up to
     /// `span` (see [`CostField::span`]). Arrays grow lazily to the grid.
     pub(crate) fn new(span: u64) -> Self {
         Self {
             cells: Vec::new(),
+            levels: Vec::new(),
+            next_level: Vec::new(),
             epoch: 0,
             queue: BucketQueue::with_span(span),
         }
@@ -234,6 +369,69 @@ impl DialSolver {
             self.epoch = 1;
         }
         self.queue.clear();
+    }
+
+    /// Opens a search: bumps the epoch, marks every cell of
+    /// `target_comps` as a target, and seeds `sources` (sorted, for
+    /// deterministic tie-breaking) at distance zero. Returns the epoch
+    /// tag, the heuristic, and the bounding box of all endpoints as
+    /// `(x0, y0, x1, y1)` local coordinates.
+    fn start(
+        &mut self,
+        grid: &DetailedGrid,
+        field: &CostField,
+        sources: &[u32],
+        target_comps: &[FastSet<u32>],
+    ) -> (u64, TargetBoxes, (i64, i64, i64, i64)) {
+        let w = grid.width();
+        let rows = grid.height();
+        self.begin(grid.cell_count());
+        let tag = u64::from(self.epoch) << TAG_SHIFT;
+        // Cold-path decomposition for endpoint setup; the pop loop
+        // never divides (coordinates ride along in the queue payload).
+        let local = |c: u32| -> (u32, u32, u32) {
+            let x = c % w;
+            let rest = c / w;
+            (x, rest % rows, rest / rows)
+        };
+        let mut bbox = (i64::MAX, i64::MAX, i64::MIN, i64::MIN);
+        let mut grow = |x: u32, y: u32| {
+            bbox = (
+                bbox.0.min(i64::from(x)),
+                bbox.1.min(i64::from(y)),
+                bbox.2.max(i64::from(x)),
+                bbox.3.max(i64::from(y)),
+            );
+        };
+        let mut hb = TargetBoxes {
+            boxes: [(u32::MAX, u32::MAX, 0, 0); MAX_H_BOXES],
+            len: 0,
+            h_unit: field.h_unit,
+        };
+        for comp in target_comps {
+            if comp.is_empty() {
+                continue;
+            }
+            let slot = hb.len.min(MAX_H_BOXES - 1);
+            for &t in comp {
+                // `begin` bumped the epoch, so every word is stale here
+                // and a plain store marks the target.
+                self.cells[t as usize] = tag | TARGET;
+                let (x, y, _) = local(t);
+                let b = &mut hb.boxes[slot];
+                *b = (b.0.min(x), b.1.min(y), b.2.max(x), b.3.max(y));
+                grow(x, y);
+            }
+            hb.len = (hb.len + 1).min(MAX_H_BOXES);
+        }
+        for &s in sources {
+            // Components are disjoint, so a source is never a target.
+            self.cells[s as usize] = tag | (DIR_SOURCE << DIR_SHIFT) | DISCOVERED;
+            let (x, y, l) = local(s);
+            grow(x, y);
+            self.queue.push(hb.h(x, y), pack(x, y, l));
+        }
+        (tag, hb, bbox)
     }
 
     /// Stitch-aware shortest path (eq. 10) from any of `sources` to any
@@ -260,91 +458,14 @@ impl DialSolver {
         if sources.is_empty() || target_comps.iter().all(FastSet::is_empty) {
             return None;
         }
+        let (tag, hb, bbox) = self.start(grid, field, sources, target_comps);
         let w = grid.width();
         let rows = grid.height();
-        let wh = w * rows;
-        let layers = u32::from(grid.layers());
-        let (ox, oy) = (grid.outline().x0(), grid.outline().y0());
-        self.begin(grid.cell_count());
-
-        let tag = u64::from(self.epoch) << TAG_SHIFT;
-        // Cold-path decomposition for endpoint setup; the pop loop
-        // never divides (coordinates ride along in the queue payload).
-        let local = |c: u32| -> (u32, u32, u32) {
-            let x = c % w;
-            let rest = c / w;
-            (x, rest % rows, rest / rows)
-        };
-        // One bounding box per target component: `h` takes the minimum
-        // over them, which stays admissible and consistent (a minimum
-        // of 1-Lipschitz lower bounds) while being far tighter than the
-        // union box whenever the components are spread apart — the
-        // union box often *contains* the source, flattening `h` to zero
-        // over a wide region. Box count is capped so `h` stays O(1);
-        // overflow components fold into the last box, which only
-        // loosens (never breaks) the bound.
-        const MAX_H_BOXES: usize = 8;
-        let mut bbox = (i64::MAX, i64::MAX, i64::MIN, i64::MIN);
-        let mut boxes: [(u32, u32, u32, u32); MAX_H_BOXES] =
-            [(u32::MAX, u32::MAX, 0, 0); MAX_H_BOXES];
-        let mut nboxes = 0usize;
-        for comp in target_comps {
-            if comp.is_empty() {
-                continue;
-            }
-            let slot = nboxes.min(MAX_H_BOXES - 1);
-            for &t in comp {
-                // `begin` bumped the epoch, so every word is stale here
-                // and a plain store marks the target.
-                self.cells[t as usize] = tag | TARGET;
-                let (x, y, _) = local(t);
-                let b = &mut boxes[slot];
-                *b = (b.0.min(x), b.1.min(y), b.2.max(x), b.3.max(y));
-                bbox = (
-                    bbox.0.min(i64::from(x)),
-                    bbox.1.min(i64::from(y)),
-                    bbox.2.max(i64::from(x)),
-                    bbox.3.max(i64::from(y)),
-                );
-            }
-            nboxes = (nboxes + 1).min(MAX_H_BOXES);
-        }
-        for &c in sources {
-            let (x, y, _) = local(c);
-            bbox = (
-                bbox.0.min(i64::from(x)),
-                bbox.1.min(i64::from(y)),
-                bbox.2.max(i64::from(x)),
-                bbox.3.max(i64::from(y)),
-            );
-        }
-        let win = GridWindow::clamped(w, rows, (bbox.0, bbox.1, bbox.2, bbox.3), i64::from(margin));
-
-        // Manhattan distance to the nearest target-component bounding
-        // box, in clamped α units — admissible and consistent (each
-        // planar step costs at least `h_unit` and moves one grid unit).
-        let boxes = &boxes[..nboxes];
-        let h = |x: u32, y: u32| -> u64 {
-            let mut best = u32::MAX;
-            for b in boxes {
-                let dx = b.0.saturating_sub(x).max(x.saturating_sub(b.2));
-                let dy = b.1.saturating_sub(y).max(y.saturating_sub(b.3));
-                best = best.min(dx + dy);
-                if best == 0 {
-                    break;
-                }
-            }
-            u64::from(best) * field.h_unit
-        };
-
-        for &s in sources {
-            // Components are disjoint, so a source is never a target.
-            self.cells[s as usize] = tag | (DIR_SOURCE << DIR_SHIFT) | DISCOVERED;
-            let (x, y, l) = local(s);
-            self.queue.push(h(x, y), pack(x, y, l));
-        }
+        let win = GridWindow::clamped(w, rows, bbox, i64::from(margin));
+        let moves = Moves::new(grid, field, own_pins, win);
 
         let mut expanded = 0usize;
+        let mut cand = [(0u32, 0u64, 0u32, 0u64); 4];
         while let Some((_key, packed)) = self.queue.pop() {
             let (x, y, l) = unpack(packed);
             let u = (l * rows + y) * w + x;
@@ -359,7 +480,7 @@ impl DialSolver {
             }
             self.cells[ui] = m | CLOSED;
             if m & TARGET != 0 {
-                return Some(self.reconstruct(u, w, wh));
+                return Some(self.reconstruct(u, w, moves.wh));
             }
             let du = (m >> DIST_SHIFT) as u32;
             expanded += 1;
@@ -373,52 +494,10 @@ impl DialSolver {
                 return None;
             }
 
-            let lx = x as usize;
-            let src_on_line = field.on_line[lx];
             // Via moves keep (x, y), so both share this pop's h value;
             // planar moves shift a coordinate and re-evaluate.
-            let hxy = h(x, y);
-            // Candidate moves as (node, packed coordinates, step cost);
-            // neighbour coordinates are one add on the packed word.
-            // Hard constraints (no riding a stitching line vertically;
-            // vias on a line only at own pins) are keyed on the source
-            // cell, exactly like the legacy engine. Vias are queued
-            // *before* planar moves: the bucket queue pops LIFO among
-            // equal keys, so equal-cost ties continue in-plane rather
-            // than hop layers first.
-            let mut cand = [(0u32, 0u64, 0u32, 0u64); 4];
-            let mut nc = 0usize;
-            let z_ok = !src_on_line
-                || own_pins.contains(&Point::new(ox + x as Coord, oy + y as Coord));
-            if z_ok {
-                if l > 0 {
-                    cand[nc] = (u - wh, packed - (1 << 40), field.via[lx], 4);
-                    nc += 1;
-                }
-                if l + 1 < layers {
-                    cand[nc] = (u + wh, packed + (1 << 40), field.via[lx], 5);
-                    nc += 1;
-                }
-            }
-            if l.is_multiple_of(2) {
-                if x > win.x0 {
-                    cand[nc] = (u - 1, packed - 1, field.planar[lx - 1], 0);
-                    nc += 1;
-                }
-                if x < win.x1 {
-                    cand[nc] = (u + 1, packed + 1, field.planar[lx + 1], 1);
-                    nc += 1;
-                }
-            } else if !src_on_line {
-                if y > win.y0 {
-                    cand[nc] = (u - w, packed - (1 << 20), field.planar[lx], 2);
-                    nc += 1;
-                }
-                if y < win.y1 {
-                    cand[nc] = (u + w, packed + (1 << 20), field.planar[lx], 3);
-                    nc += 1;
-                }
-            }
+            let hxy = hb.h(x, y);
+            let nc = moves.expand(u, packed, x, y, l, &mut cand);
             for &(v, q, step, dir) in &cand[..nc] {
                 let vi = v as usize;
                 if !grid.passable(v, net) {
@@ -439,13 +518,128 @@ impl DialSolver {
                         hxy
                     } else {
                         let (qx, qy, _) = unpack(q);
-                        h(qx, qy)
+                        hb.h(qx, qy)
                     };
                     self.queue.push(u64::from(nd) + hq, q);
                 }
             }
         }
         None
+    }
+
+    /// Soft variant of [`DialSolver::find_path`] for walled-in nets,
+    /// over the whole grid: cells owned by other nets are traversable,
+    /// except those marked in `hard` (indexed by node id). Minimises,
+    /// in lexicographic order, the number of foreign cells entered and
+    /// then the eq. (10) wire cost, so the result names a minimal
+    /// corridor of blockers to rip up.
+    ///
+    /// The search runs level by level: the bucket queue holds the cells
+    /// reached through exactly `level` foreign cells, and entering a
+    /// foreign cell parks it on the next level's frontier instead of
+    /// queueing it. Once a level is exhausted, its frontier seeds the
+    /// queue afresh. Within a level the key is the usual A\* key, so
+    /// the first target popped is optimal under both criteria. Shares
+    /// the hard stitch rules, the `node_cap` limit and the one
+    /// expansion charge per pop with [`DialSolver::find_path`].
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn find_soft_path(
+        &mut self,
+        grid: &DetailedGrid,
+        field: &CostField,
+        net: u32,
+        own_pins: &FastSet<Point>,
+        hard: &[bool],
+        sources: &[u32],
+        target_comps: &[FastSet<u32>],
+        node_cap: usize,
+        cancel: &CancelToken,
+    ) -> Option<Vec<u32>> {
+        if sources.is_empty() || target_comps.iter().all(FastSet::is_empty) {
+            return None;
+        }
+        let (tag, hb, _) = self.start(grid, field, sources, target_comps);
+        if self.levels.len() < self.cells.len() {
+            self.levels.resize(self.cells.len(), 0);
+        }
+        for &s in sources {
+            self.levels[s as usize] = 0;
+        }
+        self.next_level.clear();
+        let w = grid.width();
+        let rows = grid.height();
+        let whole = GridWindow::clamped(w, rows, (0, 0, i64::from(w), i64::from(rows)), 0);
+        let moves = Moves::new(grid, field, own_pins, whole);
+
+        let mut level = 0u32;
+        let mut expanded = 0usize;
+        let mut cand = [(0u32, 0u64, 0u32, 0u64); 4];
+        loop {
+            let Some((_key, packed)) = self.queue.pop() else {
+                if self.next_level.is_empty() {
+                    return None;
+                }
+                // The level is exhausted: its frontier, whose distances
+                // are final for the next level, seeds a fresh key window.
+                level += 1;
+                self.queue.clear();
+                for &q in &self.next_level {
+                    let (x, y, l) = unpack(q);
+                    let d = (self.cells[((l * rows + y) * w + x) as usize] >> DIST_SHIFT) as u32;
+                    self.queue.push(u64::from(d) + hb.h(x, y), q);
+                }
+                self.next_level.clear();
+                continue;
+            };
+            let (x, y, l) = unpack(packed);
+            let u = (l * rows + y) * w + x;
+            let ui = u as usize;
+            let m = self.cells[ui];
+            if m & CLOSED != 0 {
+                continue;
+            }
+            self.cells[ui] = m | CLOSED;
+            if m & TARGET != 0 {
+                return Some(self.reconstruct(u, w, moves.wh));
+            }
+            let du = (m >> DIST_SHIFT) as u32;
+            expanded += 1;
+            if expanded > node_cap || cancel.charge_expansions(1) {
+                return None;
+            }
+
+            let nc = moves.expand(u, packed, x, y, l, &mut cand);
+            for &(v, q, step, dir) in &cand[..nc] {
+                let vi = v as usize;
+                let blocked = !grid.passable(v, net);
+                if blocked && hard[vi] {
+                    continue;
+                }
+                let nl = level + u32::from(blocked);
+                let nd = du.saturating_add(step);
+                let cv = self.cells[vi];
+                let flags = if cv & TAG_MASK == tag { cv & FLAGS_MASK } else { 0 };
+                let fresh = flags & DISCOVERED == 0;
+                let lv = self.levels[vi];
+                if fresh || nl < lv || (nl == lv && nd < (cv >> DIST_SHIFT) as u32) {
+                    self.cells[vi] = tag
+                        | u64::from(nd) << DIST_SHIFT
+                        | dir << DIR_SHIFT
+                        | flags
+                        | DISCOVERED;
+                    self.levels[vi] = nl;
+                    if !blocked {
+                        let (qx, qy, _) = unpack(q);
+                        self.queue.push(u64::from(nd) + hb.h(qx, qy), q);
+                    } else if fresh || lv != nl {
+                        // First arrival on the next level; a cheaper
+                        // arrival later in this level only rewrites the
+                        // cell word.
+                        self.next_level.push(q);
+                    }
+                }
+            }
+        }
     }
 
     /// Walks inverse arrival moves from `target` back to the source
@@ -472,6 +666,9 @@ mod tests {
     use super::*;
     use mebl_geom::{GridPoint, Layer, Rect};
     use mebl_stitch::StitchConfig;
+    use mebl_testkit::prop::{ints, Config};
+    use mebl_testkit::{prop_assert, prop_assert_eq, prop_assume, prop_check, Rng, Xoshiro256pp};
+    use std::collections::VecDeque;
 
     fn setup() -> (DetailedGrid, StitchPlan) {
         let outline = Rect::new(0, 0, 39, 29);
@@ -591,5 +788,193 @@ mod tests {
             &CancelToken::default(),
         );
         assert!(narrow.is_none(), "wall spans the entire zero-margin window");
+    }
+
+    /// Whether the step `from -> to` obeys the hard stitch rules, keyed
+    /// on the cell moved from: no vertical ride along a stitching line,
+    /// and vias on a line only at one of the net's own pins.
+    fn legal_step(plan: &StitchPlan, own_pins: &FastSet<Point>, from: GridPoint, to: GridPoint) -> bool {
+        if !plan.is_on_line(from.x) {
+            return true;
+        }
+        if to.y != from.y {
+            return false;
+        }
+        to.layer == from.layer || own_pins.contains(&from.point())
+    }
+
+    /// Independent oracle for the soft search: a 0-1 BFS over the legal
+    /// moves of the whole grid, where entering a cell `net` cannot pass
+    /// costs 1 and any other step 0. Returns the fewest such cells a
+    /// path from `src` to `dst` can enter, or `None` if the hard cells
+    /// cut `dst` off.
+    fn fewest_blocked(
+        grid: &DetailedGrid,
+        plan: &StitchPlan,
+        net: u32,
+        own_pins: &FastSet<Point>,
+        hard: &[bool],
+        src: u32,
+        dst: u32,
+    ) -> Option<u32> {
+        let mut best = vec![u32::MAX; grid.cell_count()];
+        let mut deque = VecDeque::from([src]);
+        best[src as usize] = 0;
+        while let Some(u) = deque.pop_front() {
+            let pu = grid.point(u);
+            for q in grid.moves(pu) {
+                if !legal_step(plan, own_pins, pu, q) {
+                    continue;
+                }
+                let v = grid.node(q);
+                let blocked = !grid.passable(v, net);
+                if blocked && hard[v as usize] {
+                    continue;
+                }
+                let d = best[u as usize] + u32::from(blocked);
+                if d < best[v as usize] {
+                    best[v as usize] = d;
+                    if blocked {
+                        deque.push_back(v);
+                    } else {
+                        deque.push_front(v);
+                    }
+                }
+            }
+        }
+        let d = best[dst as usize];
+        (d != u32::MAX).then_some(d)
+    }
+
+    /// A 40×30×3 grid with a full-height wall of net 7 across column 20
+    /// on every layer, and net 0's pins on either side of it.
+    fn walled() -> (DetailedGrid, StitchPlan, u32, u32, FastSet<Point>) {
+        let (mut grid, plan) = setup();
+        for y in 0..grid.height() {
+            for l in 0..3u8 {
+                let node = grid.node(GridPoint::new(20, y as Coord, Layer::new(l)));
+                grid.occupy(node, 7);
+            }
+        }
+        let src = grid.node(GridPoint::new(2, 10, Layer::new(0)));
+        let dst = grid.node(GridPoint::new(35, 10, Layer::new(0)));
+        grid.occupy(src, 0);
+        grid.occupy(dst, 0);
+        let pins = [src, dst].iter().map(|&c| grid.point(c).point()).collect();
+        (grid, plan, src, dst, pins)
+    }
+
+    #[test]
+    fn prop_soft_path_crosses_the_fewest_blocked_cells() {
+        prop_check!(
+            Config::with_cases(96),
+            (ints(6u32..=20), ints(4u32..=12), ints(2u8..=4), ints(0u32..=70), ints(0u64..=u64::MAX)),
+            |(w, h, layers, density, seed)| {
+                let outline = Rect::new(0, 0, w as Coord - 1, h as Coord - 1);
+                // Lines every 5 columns put stitch rules into small grids.
+                let stitch = StitchConfig { period: 5, epsilon: 1, escape_width: 2 };
+                let plan = StitchPlan::new(outline, stitch);
+                let mut grid = DetailedGrid::new(outline, layers);
+                let mut rng = Xoshiro256pp::from_seed(seed);
+                let cells = grid.cell_count();
+                let mut hard = vec![false; cells];
+                for node in 0..cells as u32 {
+                    if rng.gen_range(0u32..100) < density {
+                        grid.occupy(node, 1 + rng.gen_range(0u32..3));
+                        hard[node as usize] = rng.gen_bool(0.25);
+                    }
+                }
+                let src = rng.gen_index(cells) as u32;
+                let dst = rng.gen_index(cells) as u32;
+                prop_assume!(src != dst);
+                // The net's own pins: passable to it, hard to everyone
+                // else, exactly as the blocker round's mask marks them.
+                for pin in [src, dst] {
+                    grid.occupy(pin, 0);
+                    hard[pin as usize] = true;
+                }
+                let own: FastSet<Point> = [src, dst].iter().map(|&c| grid.point(c).point()).collect();
+                let field = field_for(&grid, &plan);
+                let mut solver = DialSolver::new(field.span);
+                let found = solver.find_soft_path(
+                    &grid, &field, 0, &own, &hard, &[src], &comps(&[dst]), usize::MAX,
+                    &CancelToken::default(),
+                );
+                let oracle = fewest_blocked(&grid, &plan, 0, &own, &hard, src, dst);
+                let Some(path) = found else {
+                    prop_assert!(oracle.is_none(), "search gave up, oracle found {oracle:?}");
+                    return mebl_testkit::prop::CaseResult::Pass;
+                };
+                prop_assert_eq!(path.first(), Some(&src));
+                prop_assert_eq!(path.last(), Some(&dst));
+                for pair in path.windows(2) {
+                    let (a, b) = (grid.point(pair[0]), grid.point(pair[1]));
+                    prop_assert!(grid.moves(a).any(|q| q == b), "{a:?} -> {b:?} is no grid move");
+                    prop_assert!(legal_step(&plan, &own, a, b), "{a:?} -> {b:?} breaks a stitch rule");
+                }
+                let mut crossed = 0u32;
+                for &c in &path {
+                    if !grid.passable(c, 0) {
+                        prop_assert!(!hard[c as usize], "path enters hard cell {:?}", grid.point(c));
+                        crossed += 1;
+                    }
+                }
+                prop_assert_eq!(Some(crossed), oracle);
+            }
+        );
+    }
+
+    #[test]
+    fn soft_search_crosses_a_wall_and_stops_at_its_cap() {
+        let (grid, plan, src, dst, pins) = walled();
+        let field = field_for(&grid, &plan);
+        let mut solver = DialSolver::new(field.span);
+        let hard = vec![false; grid.cell_count()];
+        let search = |solver: &mut DialSolver, cap: usize| {
+            solver.find_soft_path(
+                &grid, &field, 0, &pins, &hard, &[src], &comps(&[dst]), cap,
+                &CancelToken::default(),
+            )
+        };
+        let path = search(&mut solver, usize::MAX).expect("the wall is soft");
+        let crossed = path.iter().filter(|&&c| grid.occupant(c) == Some(7)).count();
+        assert_eq!(crossed, 1, "one wall cell is the fewest");
+        assert!(search(&mut solver, 1).is_none(), "cap 1 must exhaust");
+        // The same solver still finds the path after an exhausted search.
+        assert_eq!(search(&mut solver, usize::MAX), Some(path));
+        // A hard wall cuts the target off entirely.
+        let all_hard = vec![true; grid.cell_count()];
+        let cut = solver.find_soft_path(
+            &grid, &field, 0, &pins, &all_hard, &[src], &comps(&[dst]), usize::MAX,
+            &CancelToken::default(),
+        );
+        assert!(cut.is_none());
+    }
+
+    #[test]
+    fn soft_search_charges_one_expansion_per_pop() {
+        let (grid, plan, src, dst, pins) = walled();
+        let field = field_for(&grid, &plan);
+        let mut solver = DialSolver::new(field.span);
+        let hard = vec![false; grid.cell_count()];
+        let mut search = |cap: usize, token: &CancelToken| {
+            solver.find_soft_path(&grid, &field, 0, &pins, &hard, &[src], &comps(&[dst]), cap, token)
+        };
+        let token = CancelToken::armed(None, None);
+        assert!(search(usize::MAX, &token).is_some());
+        let pops = token.expansions();
+        assert!(pops > 0);
+        // The node cap counts the same pops the token is charged for:
+        // exactly `pops` of them fit, one fewer does not.
+        let token = CancelToken::armed(None, None);
+        assert!(search(pops as usize, &token).is_some());
+        assert_eq!(token.expansions(), pops);
+        let token = CancelToken::armed(None, None);
+        assert!(search(pops as usize - 1, &token).is_none());
+        assert_eq!(token.expansions(), pops - 1);
+        // A token budget cancels the search on its last charge.
+        let token = CancelToken::armed(Some(5), None);
+        assert!(search(usize::MAX, &token).is_none());
+        assert_eq!(token.expansions(), 5);
     }
 }

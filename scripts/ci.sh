@@ -54,51 +54,43 @@ echo "$out_t4"
 echo "=== differential thread-count harness ==="
 cargo test -q --release --offline -p mebl-bench --test parallel
 
-echo "=== bench-regression gate (stages medians vs committed baseline) ==="
+# bench_gate <bench> <tolerance>: runs `cargo bench --bench <bench>`
+# and gates results/bench_<bench>.json against the committed baseline.
 # A real regression is slow on every run; host interference is not. Up
 # to three bench runs, and the gate passes if any one of them is clean —
 # the committed baseline is always restored afterwards so the gate never
 # dirties the working tree (the bench overwrites it in place).
-baseline_tmp=$(mktemp)
-cp results/bench_stages.json "$baseline_tmp"
-gate_ok=0
-for try in 1 2 3; do
-    cargo bench --offline -q -p mebl-bench --bench stages
-    if cargo run --release --offline -q -p mebl-xtask -- \
-        benchgate "$baseline_tmp" results/bench_stages.json --tolerance 25; then
-        gate_ok=1
-        break
+bench_gate() {
+    local bench=$1 tolerance=$2
+    local results="results/bench_${bench}.json"
+    local baseline_tmp gate_ok=0
+    baseline_tmp=$(mktemp)
+    cp "$results" "$baseline_tmp"
+    for try in 1 2 3; do
+        cargo bench --offline -q -p mebl-bench --bench "$bench"
+        if cargo run --release --offline -q -p mebl-xtask -- \
+            benchgate "$baseline_tmp" "$results" --tolerance "$tolerance"; then
+            gate_ok=1
+            break
+        fi
+        echo "benchgate ($bench): attempt $try over tolerance; retrying" >&2
+    done
+    mv "$baseline_tmp" "$results"
+    if [ "$gate_ok" != 1 ]; then
+        echo "benchgate ($bench): regressed on 3 consecutive runs" >&2
+        exit 1
     fi
-    echo "benchgate (stages): attempt $try over tolerance; retrying" >&2
-done
-mv "$baseline_tmp" results/bench_stages.json
-if [ "$gate_ok" != 1 ]; then
-    echo "benchgate (stages): medians regressed on 3 consecutive runs" >&2
-    exit 1
-fi
+}
+
+echo "=== bench-regression gate (stages medians vs committed baseline) ==="
+bench_gate stages 25
 
 echo "=== bench-regression gate (serve latencies vs committed baseline) ==="
 # Service latencies carry scheduler and loopback noise the stage
 # microbenches do not; the tolerance is correspondingly loose — the gate
 # exists to catch order-of-magnitude regressions (a lost cache, an
 # accidental serialization), not microsecond drift.
-baseline_tmp=$(mktemp)
-cp results/bench_serve.json "$baseline_tmp"
-gate_ok=0
-for try in 1 2 3; do
-    cargo bench --offline -q -p mebl-bench --bench serve
-    if cargo run --release --offline -q -p mebl-xtask -- \
-        benchgate "$baseline_tmp" results/bench_serve.json --tolerance 150; then
-        gate_ok=1
-        break
-    fi
-    echo "benchgate (serve): attempt $try over tolerance; retrying" >&2
-done
-mv "$baseline_tmp" results/bench_serve.json
-if [ "$gate_ok" != 1 ]; then
-    echo "benchgate (serve): latencies regressed on 3 consecutive runs" >&2
-    exit 1
-fi
+bench_gate serve 150
 
 echo "=== bench-regression gate (store latencies vs committed baseline) ==="
 # Store numbers are dominated by fsync and page-cache behavior, which
@@ -106,67 +98,19 @@ echo "=== bench-regression gate (store latencies vs committed baseline) ==="
 # tolerance plus the min-of-samples comparison (set in the committed
 # benchgate rules) catches gross regressions only — a lost index, an
 # accidental full-scan per get.
-baseline_tmp=$(mktemp)
-cp results/bench_store.json "$baseline_tmp"
-gate_ok=0
-for try in 1 2 3; do
-    cargo bench --offline -q -p mebl-bench --bench store
-    if cargo run --release --offline -q -p mebl-xtask -- \
-        benchgate "$baseline_tmp" results/bench_store.json --tolerance 150; then
-        gate_ok=1
-        break
-    fi
-    echo "benchgate (store): attempt $try over tolerance; retrying" >&2
-done
-mv "$baseline_tmp" results/bench_store.json
-if [ "$gate_ok" != 1 ]; then
-    echo "benchgate (store): latencies regressed on 3 consecutive runs" >&2
-    exit 1
-fi
+bench_gate store 150
 
 echo "=== bench-regression gate (delta routing vs committed baseline) ==="
 # The delta bench also asserts the subsystem's acceptance bar inline: a
 # single-net ECO at least 5x faster than the from-scratch reference.
 # The gate on top catches slower erosion of the incremental win.
-baseline_tmp=$(mktemp)
-cp results/bench_delta.json "$baseline_tmp"
-gate_ok=0
-for try in 1 2 3; do
-    cargo bench --offline -q -p mebl-bench --bench delta
-    if cargo run --release --offline -q -p mebl-xtask -- \
-        benchgate "$baseline_tmp" results/bench_delta.json --tolerance 60; then
-        gate_ok=1
-        break
-    fi
-    echo "benchgate (delta): attempt $try over tolerance; retrying" >&2
-done
-mv "$baseline_tmp" results/bench_delta.json
-if [ "$gate_ok" != 1 ]; then
-    echo "benchgate (delta): latencies regressed on 3 consecutive runs" >&2
-    exit 1
-fi
+bench_gate delta 60
 
 echo "=== bench-regression gate (sharded pipeline vs committed baseline) ==="
 # The shard bench asserts the one-core acceptance bars inline (widening
 # the pool within 2x of width 1, the whole pipeline within 4x of the
 # monolithic route); the gate catches slower erosion on top.
-baseline_tmp=$(mktemp)
-cp results/bench_shard.json "$baseline_tmp"
-gate_ok=0
-for try in 1 2 3; do
-    cargo bench --offline -q -p mebl-bench --bench shard
-    if cargo run --release --offline -q -p mebl-xtask -- \
-        benchgate "$baseline_tmp" results/bench_shard.json --tolerance 60; then
-        gate_ok=1
-        break
-    fi
-    echo "benchgate (shard): attempt $try over tolerance; retrying" >&2
-done
-mv "$baseline_tmp" results/bench_shard.json
-if [ "$gate_ok" != 1 ]; then
-    echo "benchgate (shard): latencies regressed on 3 consecutive runs" >&2
-    exit 1
-fi
+bench_gate shard 60
 
 echo "=== delta differential harness (incremental vs from-scratch) ==="
 cargo test -q --release --offline -p mebl-bench --test delta

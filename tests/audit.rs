@@ -2,8 +2,8 @@
 //! pass clean routing solutions and catch every class of injected defect.
 
 use mebl_audit::{audit_outcome, FindingKind};
-use mebl_geom::{Layer, Point, RouteGeometry, Segment, Via};
-use mebl_netlist::{BenchmarkSpec, Circuit, GenerateConfig};
+use mebl_geom::{Layer, Point, Rect, RouteGeometry, Segment, Via};
+use mebl_netlist::{BenchmarkSpec, Circuit, GenerateConfig, Net, Pin};
 use mebl_route::{Router, RouterConfig, RoutingOutcome};
 use mebl_testkit::prop::{self, Config};
 use mebl_testkit::{prop_assert, prop_assert_eq, prop_check};
@@ -40,6 +40,35 @@ fn stitch_aware_quick_seeds_audit_clean() {
         assert_eq!(audit.recount.wirelength, outcome.report.wirelength);
         assert_eq!(audit.recount.via_count, outcome.report.vias as u64);
     }
+}
+
+/// The blocker rip-up round end to end: net `b`'s four pins box in net
+/// `a`'s pin, and `b`'s shortest route takes the via cell above it. The
+/// blocker round rips `b` off that cell, routes `a` through it and
+/// reroutes `b`; the outcome must audit completely clean.
+#[test]
+fn walled_in_net_recovered_by_blocker_round_audits_clean() {
+    let at = |x, y, l| Pin::new(Point::new(x, y), Layer::new(l));
+    let circuit = Circuit::new(
+        "walled",
+        Rect::new(0, 0, 89, 89),
+        3,
+        vec![
+            Net::new("a", vec![at(20, 40, 0), at(70, 70, 0)]),
+            Net::new("b", vec![at(19, 40, 0), at(21, 40, 0), at(20, 39, 1), at(20, 41, 1)]),
+        ],
+    );
+    // Ordered by length, `b` routes first and walls `a` in.
+    let mut config = RouterConfig::stitch_aware();
+    config.detailed.stitch_order = false;
+    let outcome = routed(&circuit, &config);
+    assert_eq!(outcome.report.routed_nets, 2, "{:?}", outcome.degradations);
+    let gate = Point::new(20, 40);
+    assert!(outcome.detailed.geometry[0].has_via_at(gate, Layer::new(1)));
+    assert!(!outcome.detailed.geometry[1].has_via_at(gate, Layer::new(1)));
+    let audit = audit_outcome(&circuit, &config, &outcome);
+    assert!(audit.is_clean(), "{:#?}", audit.findings);
+    assert_eq!(audit.nets_audited, 2);
 }
 
 /// Oracle property: on random quick circuits, both router presets produce
@@ -294,7 +323,7 @@ fn backend_equivalence_on_injected_defects() {
         .copied()
         .expect("routed net has a horizontal segment");
     let (a, _) = seg.endpoints();
-    let rect = mebl_geom::Rect::new(a.x, a.y, a.x, a.y);
+    let rect = Rect::new(a.x, a.y, a.x, a.y);
     let blocked = Circuit::with_blockages(
         circuit.name().to_string(),
         circuit.outline(),

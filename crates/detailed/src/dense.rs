@@ -299,8 +299,22 @@ impl<'a> Moves<'a> {
     /// bucket queue pops LIFO among equal keys, so equal-cost ties
     /// continue in-plane rather than hop layers first. Neighbour
     /// coordinates are one add on the packed word.
+    ///
+    /// With `REV` the moves are walked backwards: each one is the
+    /// reverse of a forward step into the popped cell. The hard rules
+    /// key on the (x, y) both cells share, so the move set is the same;
+    /// only an x-move's cost changes, to `planar` of the popped cell,
+    /// which is what the forward step into it costs.
     #[inline(always)]
-    fn expand(&self, u: u32, packed: u64, x: u32, y: u32, l: u32, out: &mut [Move; 4]) -> usize {
+    fn expand<const REV: bool>(
+        &self,
+        u: u32,
+        packed: u64,
+        x: u32,
+        y: u32,
+        l: u32,
+        out: &mut [Move; 4],
+    ) -> usize {
         let field = self.field;
         let (w, wh, win) = (self.w, self.wh, &self.win);
         let lx = x as usize;
@@ -322,11 +336,13 @@ impl<'a> Moves<'a> {
         }
         if l.is_multiple_of(2) {
             if x > win.x0 {
-                out[nc] = (u - 1, packed - 1, field.planar[lx - 1], 0);
+                let step = field.planar[if REV { lx } else { lx - 1 }];
+                out[nc] = (u - 1, packed - 1, step, 0);
                 nc += 1;
             }
             if x < win.x1 {
-                out[nc] = (u + 1, packed + 1, field.planar[lx + 1], 1);
+                let step = field.planar[if REV { lx } else { lx + 1 }];
+                out[nc] = (u + 1, packed + 1, step, 1);
                 nc += 1;
             }
         } else if !src_on_line {
@@ -341,6 +357,38 @@ impl<'a> Moves<'a> {
         }
         nc
     }
+}
+
+/// Level-0 pop budget of one soft-search direction on a grid of
+/// `cells` cells. On S38584 at net scale 0.15 (540,702 cells, so a
+/// budget of 33,793) the soft searches whose level 0 reached the target
+/// popped at most about 23k cells, while a level 0 started in the open
+/// region floods about 398k before it may enter a foreign cell. A
+/// sixteenth of the grid sits above the first and an order of
+/// magnitude below the second.
+fn soft_budget(cells: usize) -> usize {
+    cells / 16
+}
+
+/// The inputs every phase of one soft search shares.
+struct SoftQuery<'a> {
+    grid: &'a DetailedGrid,
+    field: &'a CostField,
+    net: u32,
+    own_pins: &'a FastSet<Point>,
+    hard: &'a [bool],
+    node_cap: usize,
+    cancel: &'a CancelToken,
+}
+
+/// How one soft-search phase ended.
+enum Soft {
+    /// The path, from a source cell to a target cell.
+    Found(Vec<u32>),
+    /// No path, the node cap or cancellation: the whole call gives up.
+    GaveUp,
+    /// Level 0 overran the phase's pop budget.
+    Overrun,
 }
 
 impl DialSolver {
@@ -497,7 +545,7 @@ impl DialSolver {
             // Via moves keep (x, y), so both share this pop's h value;
             // planar moves shift a coordinate and re-evaluate.
             let hxy = hb.h(x, y);
-            let nc = moves.expand(u, packed, x, y, l, &mut cand);
+            let nc = moves.expand::<false>(u, packed, x, y, l, &mut cand);
             for &(v, q, step, dir) in &cand[..nc] {
                 let vi = v as usize;
                 if !grid.passable(v, net) {
@@ -528,20 +576,28 @@ impl DialSolver {
     }
 
     /// Soft variant of [`DialSolver::find_path`] for walled-in nets,
-    /// over the whole grid: cells owned by other nets are traversable,
-    /// except those marked in `hard` (indexed by node id). Minimises,
-    /// in lexicographic order, the number of foreign cells entered and
-    /// then the eq. (10) wire cost, so the result names a minimal
-    /// corridor of blockers to rip up.
+    /// with no window: cells owned by other nets are traversable, except
+    /// those marked in `hard` (indexed by node id). Minimises, in
+    /// lexicographic order, the number of foreign cells entered and then
+    /// the eq. (10) wire cost, so the result names a minimal corridor of
+    /// blockers to rip up. The path runs from a source cell to a target
+    /// cell, like [`DialSolver::find_path`]'s.
     ///
-    /// The search runs level by level: the bucket queue holds the cells
-    /// reached through exactly `level` foreign cells, and entering a
-    /// foreign cell parks it on the next level's frontier instead of
-    /// queueing it. Once a level is exhausted, its frontier seeds the
-    /// queue afresh. Within a level the key is the usual A\* key, so
-    /// the first target popped is optimal under both criteria. Shares
-    /// the hard stitch rules, the `node_cap` limit and the one
-    /// expansion charge per pop with [`DialSolver::find_path`].
+    /// Each search runs level by level (see [`DialSolver::soft_phase`]),
+    /// and level 0 must exhaust the region around its start before it
+    /// may enter a foreign cell. Started in the die's open region it
+    /// floods most of the grid; started in a walled-in pocket it pops
+    /// only the pocket. So the search runs forward with a level-0 pop
+    /// budget ([`soft_budget`]); if level 0 overruns it, it restarts
+    /// from the target components toward the sources under the same
+    /// budget, and if that overruns too, forward with no budget. Both
+    /// directions find the same optimum (only ties may break
+    /// differently): the hard rules key on the (x, y) the two cells of
+    /// a move share, y and via steps cost the same either way, a
+    /// reverse x-move is charged the forward step's cost, and a path
+    /// enters the same foreign cells in either direction. All phases
+    /// together count against `node_cap`, and every pop of every phase
+    /// charges `cancel` once.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn find_soft_path(
         &mut self,
@@ -555,10 +611,63 @@ impl DialSolver {
         node_cap: usize,
         cancel: &CancelToken,
     ) -> Option<Vec<u32>> {
+        let q = SoftQuery { grid, field, net, own_pins, hard, node_cap, cancel };
+        self.soft_path(&q, sources, target_comps, soft_budget(grid.cell_count()))
+    }
+
+    /// [`DialSolver::find_soft_path`] under an explicit level-0 pop
+    /// `budget` per budgeted phase.
+    fn soft_path(
+        &mut self,
+        q: &SoftQuery<'_>,
+        sources: &[u32],
+        target_comps: &[FastSet<u32>],
+        budget: usize,
+    ) -> Option<Vec<u32>> {
         if sources.is_empty() || target_comps.iter().all(FastSet::is_empty) {
             return None;
         }
-        let (tag, hb, _) = self.start(grid, field, sources, target_comps);
+        let mut spent = 0usize;
+        let mut outcome = self.soft_phase::<false>(q, sources, target_comps, budget, &mut spent);
+        if let Soft::Overrun = outcome {
+            let mut back: Vec<u32> = target_comps.iter().flatten().copied().collect();
+            back.sort_unstable();
+            let front = [sources.iter().copied().collect::<FastSet<u32>>()];
+            outcome = self.soft_phase::<true>(q, &back, &front, budget, &mut spent);
+        }
+        if let Soft::Overrun = outcome {
+            outcome = self.soft_phase::<false>(q, sources, target_comps, usize::MAX, &mut spent);
+        }
+        match outcome {
+            Soft::Found(path) => Some(path),
+            Soft::GaveUp | Soft::Overrun => None,
+        }
+    }
+
+    /// One soft-search phase from `sources` (sorted) to `target_comps`,
+    /// walking moves backwards when `REV`; the path comes back in
+    /// forward order either way. Each phase is a fresh epoch.
+    ///
+    /// The search runs level by level: the bucket queue holds the cells
+    /// reached through exactly `level` foreign cells, and entering a
+    /// foreign cell parks it on the next level's frontier instead of
+    /// queueing it. Once a level is exhausted, its frontier seeds the
+    /// queue afresh. Within a level the key is the usual A\* key, so
+    /// the first target popped is optimal under both criteria.
+    ///
+    /// Returns [`Soft::Overrun`] when level 0 would pop more than
+    /// `budget` cells. `spent` carries the pops of earlier phases of
+    /// the same call: they count against `q.node_cap`.
+    fn soft_phase<const REV: bool>(
+        &mut self,
+        q: &SoftQuery<'_>,
+        sources: &[u32],
+        target_comps: &[FastSet<u32>],
+        budget: usize,
+        spent: &mut usize,
+    ) -> Soft {
+        let grid = q.grid;
+        let (tag, hb, _) = self.start(grid, q.field, sources, target_comps);
         if self.levels.len() < self.cells.len() {
             self.levels.resize(self.cells.len(), 0);
         }
@@ -569,24 +678,24 @@ impl DialSolver {
         let w = grid.width();
         let rows = grid.height();
         let whole = GridWindow::clamped(w, rows, (0, 0, i64::from(w), i64::from(rows)), 0);
-        let moves = Moves::new(grid, field, own_pins, whole);
+        let moves = Moves::new(grid, q.field, q.own_pins, whole);
 
         let mut level = 0u32;
-        let mut expanded = 0usize;
+        let mut level0_pops = 0usize;
         let mut cand = [(0u32, 0u64, 0u32, 0u64); 4];
         loop {
             let Some((_key, packed)) = self.queue.pop() else {
                 if self.next_level.is_empty() {
-                    return None;
+                    return Soft::GaveUp;
                 }
                 // The level is exhausted: its frontier, whose distances
                 // are final for the next level, seeds a fresh key window.
                 level += 1;
                 self.queue.clear();
-                for &q in &self.next_level {
-                    let (x, y, l) = unpack(q);
+                for &c in &self.next_level {
+                    let (x, y, l) = unpack(c);
                     let d = (self.cells[((l * rows + y) * w + x) as usize] >> DIST_SHIFT) as u32;
-                    self.queue.push(u64::from(d) + hb.h(x, y), q);
+                    self.queue.push(u64::from(d) + hb.h(x, y), c);
                 }
                 self.next_level.clear();
                 continue;
@@ -600,19 +709,29 @@ impl DialSolver {
             }
             self.cells[ui] = m | CLOSED;
             if m & TARGET != 0 {
-                return Some(self.reconstruct(u, w, moves.wh));
+                let mut path = self.reconstruct(u, w, moves.wh);
+                if REV {
+                    path.reverse();
+                }
+                return Soft::Found(path);
+            }
+            if level == 0 {
+                if level0_pops == budget {
+                    return Soft::Overrun;
+                }
+                level0_pops += 1;
             }
             let du = (m >> DIST_SHIFT) as u32;
-            expanded += 1;
-            if expanded > node_cap || cancel.charge_expansions(1) {
-                return None;
+            *spent += 1;
+            if *spent > q.node_cap || q.cancel.charge_expansions(1) {
+                return Soft::GaveUp;
             }
 
-            let nc = moves.expand(u, packed, x, y, l, &mut cand);
-            for &(v, q, step, dir) in &cand[..nc] {
+            let nc = moves.expand::<REV>(u, packed, x, y, l, &mut cand);
+            for &(v, c, step, dir) in &cand[..nc] {
                 let vi = v as usize;
-                let blocked = !grid.passable(v, net);
-                if blocked && hard[vi] {
+                let blocked = !grid.passable(v, q.net);
+                if blocked && q.hard[vi] {
                     continue;
                 }
                 let nl = level + u32::from(blocked);
@@ -629,13 +748,13 @@ impl DialSolver {
                         | DISCOVERED;
                     self.levels[vi] = nl;
                     if !blocked {
-                        let (qx, qy, _) = unpack(q);
-                        self.queue.push(u64::from(nd) + hb.h(qx, qy), q);
+                        let (cx, cy, _) = unpack(c);
+                        self.queue.push(u64::from(nd) + hb.h(cx, cy), c);
                     } else if fresh || lv != nl {
                         // First arrival on the next level; a cheaper
                         // arrival later in this level only rewrites the
                         // cell word.
-                        self.next_level.push(q);
+                        self.next_level.push(c);
                     }
                 }
             }
@@ -864,12 +983,135 @@ mod tests {
         (grid, plan, src, dst, pins)
     }
 
+    /// A 40×30×3 grid where net 7 rings net 0's target pin at (30, 15)
+    /// on every layer, leaving a 3×3 pocket, and the source pin sits in
+    /// the open at (5, 15).
+    fn pocket() -> (DetailedGrid, StitchPlan, u32, u32, FastSet<Point>) {
+        let (mut grid, plan) = setup();
+        for y in 13..=17 {
+            for x in 28..=32 {
+                if (x - 30i32).abs().max((y - 15i32).abs()) == 2 {
+                    for l in 0..3u8 {
+                        grid.occupy(grid.node(GridPoint::new(x, y, Layer::new(l))), 7);
+                    }
+                }
+            }
+        }
+        let src = grid.node(GridPoint::new(5, 15, Layer::new(0)));
+        let dst = grid.node(GridPoint::new(30, 15, Layer::new(0)));
+        grid.occupy(src, 0);
+        grid.occupy(dst, 0);
+        let pins = [src, dst].iter().map(|&c| grid.point(c).point()).collect();
+        (grid, plan, src, dst, pins)
+    }
+
+    fn query<'a>(
+        grid: &'a DetailedGrid,
+        field: &'a CostField,
+        own_pins: &'a FastSet<Point>,
+        hard: &'a [bool],
+        node_cap: usize,
+        cancel: &'a CancelToken,
+    ) -> SoftQuery<'a> {
+        SoftQuery { grid, field, net: 0, own_pins, hard, node_cap, cancel }
+    }
+
+    fn found(outcome: Soft) -> Option<Vec<u32>> {
+        match outcome {
+            Soft::Found(path) => Some(path),
+            Soft::GaveUp | Soft::Overrun => None,
+        }
+    }
+
+    /// One unbudgeted phase in either direction from `src` to the
+    /// single-cell components `dsts`, as [`DialSolver::soft_path`]
+    /// would run it. Returns the path, the pops it charged, and the
+    /// distance the search stored at the cell where it stopped (the
+    /// path's last cell forward, its first in reverse): the search's
+    /// own eq. (10) cost of the path.
+    fn one_way(
+        solver: &mut DialSolver,
+        q: &SoftQuery<'_>,
+        src: u32,
+        dsts: &[u32],
+        reverse: bool,
+    ) -> (Option<Vec<u32>>, usize, u64) {
+        let mut spent = 0;
+        let outcome = if reverse {
+            let mut back = dsts.to_vec();
+            back.sort_unstable();
+            solver.soft_phase::<true>(q, &back, &comps(&[src]), usize::MAX, &mut spent)
+        } else {
+            let targets: Vec<FastSet<u32>> = dsts.iter().map(|&d| comps(&[d]).remove(0)).collect();
+            solver.soft_phase::<false>(q, &[src], &targets, usize::MAX, &mut spent)
+        };
+        let path = found(outcome);
+        let end = path.as_ref().map_or(src, |p| if reverse { p[0] } else { p[p.len() - 1] });
+        let dist = u64::from((solver.cells[end as usize] >> DIST_SHIFT) as u32);
+        (path, spent, dist)
+    }
+
+    /// Re-walks `path` forward and checks it: it starts at `src`, ends
+    /// at one of `dsts`, every step is a grid move obeying the hard
+    /// stitch rules, and no hard cell is entered. Returns the foreign
+    /// cells entered and the eq. (10) cost (a via costs its column's
+    /// `via`, a planar step `planar` of the column it moves into).
+    #[allow(clippy::too_many_arguments)]
+    fn walk(
+        grid: &DetailedGrid,
+        plan: &StitchPlan,
+        field: &CostField,
+        own_pins: &FastSet<Point>,
+        hard: &[bool],
+        src: u32,
+        dsts: &[u32],
+        path: &[u32],
+    ) -> Result<(u32, u64), String> {
+        if path.first() != Some(&src) || !path.last().is_some_and(|t| dsts.contains(t)) {
+            return Err(format!("path runs {:?} -> {:?}", path.first(), path.last()));
+        }
+        let col = |x: Coord| (x - grid.outline().x0()) as usize;
+        let mut cost = 0u64;
+        for pair in path.windows(2) {
+            let (a, b) = (grid.point(pair[0]), grid.point(pair[1]));
+            if !grid.moves(a).any(|q| q == b) {
+                return Err(format!("{a:?} -> {b:?} is no grid move"));
+            }
+            if !legal_step(plan, own_pins, a, b) {
+                return Err(format!("{a:?} -> {b:?} breaks a stitch rule"));
+            }
+            cost += u64::from(if a.layer == b.layer {
+                field.planar[col(b.x)]
+            } else {
+                field.via[col(a.x)]
+            });
+        }
+        let mut crossed = 0u32;
+        for &c in path {
+            if !grid.passable(c, 0) {
+                if hard[c as usize] {
+                    return Err(format!("path enters hard cell {:?}", grid.point(c)));
+                }
+                crossed += 1;
+            }
+        }
+        Ok((crossed, cost))
+    }
+
     #[test]
     fn prop_soft_path_crosses_the_fewest_blocked_cells() {
         prop_check!(
             Config::with_cases(96),
-            (ints(6u32..=20), ints(4u32..=12), ints(2u8..=4), ints(0u32..=70), ints(0u64..=u64::MAX)),
-            |(w, h, layers, density, seed)| {
+            (
+                ints(6u32..=20),
+                ints(4u32..=12),
+                ints(2u8..=4),
+                ints(0u32..=70),
+                ints(0u64..=u64::MAX),
+                ints(0usize..=64),
+                ints(1usize..=2),
+            ),
+            |(w, h, layers, density, seed, budget, n_dsts)| {
                 let outline = Rect::new(0, 0, w as Coord - 1, h as Coord - 1);
                 // Lines every 5 columns put stitch rules into small grids.
                 let stitch = StitchConfig { period: 5, epsilon: 1, escape_width: 2 };
@@ -885,41 +1127,62 @@ mod tests {
                     }
                 }
                 let src = rng.gen_index(cells) as u32;
-                let dst = rng.gen_index(cells) as u32;
-                prop_assume!(src != dst);
+                let dsts: Vec<u32> = (0..n_dsts).map(|_| rng.gen_index(cells) as u32).collect();
+                prop_assume!(!dsts.contains(&src) && dsts.first() != dsts.get(1));
                 // The net's own pins: passable to it, hard to everyone
                 // else, exactly as the blocker round's mask marks them.
-                for pin in [src, dst] {
+                for &pin in dsts.iter().chain([&src]) {
                     grid.occupy(pin, 0);
                     hard[pin as usize] = true;
                 }
-                let own: FastSet<Point> = [src, dst].iter().map(|&c| grid.point(c).point()).collect();
+                let own: FastSet<Point> =
+                    dsts.iter().chain([&src]).map(|&c| grid.point(c).point()).collect();
                 let field = field_for(&grid, &plan);
+                let token = CancelToken::default();
+                let q = query(&grid, &field, &own, &hard, usize::MAX, &token);
                 let mut solver = DialSolver::new(field.span);
-                let found = solver.find_soft_path(
-                    &grid, &field, 0, &own, &hard, &[src], &comps(&[dst]), usize::MAX,
-                    &CancelToken::default(),
-                );
-                let oracle = fewest_blocked(&grid, &plan, 0, &own, &hard, src, dst);
-                let Some(path) = found else {
-                    prop_assert!(oracle.is_none(), "search gave up, oracle found {oracle:?}");
-                    return mebl_testkit::prop::CaseResult::Pass;
-                };
-                prop_assert_eq!(path.first(), Some(&src));
-                prop_assert_eq!(path.last(), Some(&dst));
-                for pair in path.windows(2) {
-                    let (a, b) = (grid.point(pair[0]), grid.point(pair[1]));
-                    prop_assert!(grid.moves(a).any(|q| q == b), "{a:?} -> {b:?} is no grid move");
-                    prop_assert!(legal_step(&plan, &own, a, b), "{a:?} -> {b:?} breaks a stitch rule");
-                }
-                let mut crossed = 0u32;
-                for &c in &path {
-                    if !grid.passable(c, 0) {
-                        prop_assert!(!hard[c as usize], "path enters hard cell {:?}", grid.point(c));
-                        crossed += 1;
+                let targets: Vec<FastSet<u32>> = dsts.iter().map(|&d| comps(&[d]).remove(0)).collect();
+                // Each direction's own distance must be the forward
+                // cost of the path it returns.
+                let (forward, _, forward_dist) = one_way(&mut solver, &q, src, &dsts, false);
+                let (reverse, _, reverse_dist) = one_way(&mut solver, &q, src, &dsts, true);
+                let own_dists = [("forward", &forward, forward_dist), ("reverse", &reverse, reverse_dist)];
+                for (name, path, dist) in own_dists {
+                    if let Some(path) = path {
+                        let cost = walk(&grid, &plan, &field, &own, &hard, src, &dsts, path);
+                        prop_assert_eq!(cost.map(|c| c.1), Ok(dist), "{name} search's own distance");
                     }
                 }
-                prop_assert_eq!(Some(crossed), oracle);
+                let searches = [
+                    ("forward", forward),
+                    ("reverse", reverse),
+                    ("budgeted", solver.soft_path(&q, &[src], &targets, budget)),
+                    (
+                        "default",
+                        solver.find_soft_path(
+                            &grid, &field, 0, &own, &hard, &[src], &targets, usize::MAX, &token,
+                        ),
+                    ),
+                ];
+                let oracle = dsts
+                    .iter()
+                    .filter_map(|&d| fewest_blocked(&grid, &plan, 0, &own, &hard, src, d))
+                    .min();
+                let mut optimum = None;
+                for (name, path) in searches {
+                    let Some(path) = path else {
+                        prop_assert!(oracle.is_none(), "{name} search gave up, oracle found {oracle:?}");
+                        continue;
+                    };
+                    let got = match walk(&grid, &plan, &field, &own, &hard, src, &dsts, &path) {
+                        Ok(got) => got,
+                        Err(e) => return mebl_testkit::prop::CaseResult::Fail(format!("{name}: {e}")),
+                    };
+                    prop_assert_eq!(Some(got.0), oracle, "{name} search");
+                    // Every direction finds the same (foreign cells,
+                    // cost) optimum; only ties may break differently.
+                    prop_assert_eq!(*optimum.get_or_insert(got), got, "{name} search");
+                }
             }
         );
     }
@@ -976,5 +1239,67 @@ mod tests {
         let token = CancelToken::armed(Some(5), None);
         assert!(search(usize::MAX, &token).is_none());
         assert_eq!(token.expansions(), 5);
+    }
+
+    #[test]
+    fn soft_phases_share_the_node_cap_and_charge_once_per_pop() {
+        // Both sides of the wall flood more than 100 cells at level 0,
+        // so a budget of 100 runs all three phases.
+        let (grid, plan, src, dst, pins) = walled();
+        let field = field_for(&grid, &plan);
+        let mut solver = DialSolver::new(field.span);
+        let hard = vec![false; grid.cell_count()];
+        let token = CancelToken::armed(None, None);
+        let q = query(&grid, &field, &pins, &hard, usize::MAX, &token);
+        let (alone, fwd, _) = one_way(&mut solver, &q, src, &[dst], false);
+        assert!(alone.is_some());
+        assert_eq!(token.expansions(), fwd as u64);
+        let budget = 100;
+        let total = 2 * budget + fwd;
+        let token = CancelToken::armed(None, None);
+        let q = query(&grid, &field, &pins, &hard, usize::MAX, &token);
+        let path = solver.soft_path(&q, &[src], &comps(&[dst]), budget);
+        assert_eq!(token.expansions(), total as u64, "each budgeted phase charged its budget");
+        assert_eq!(path, alone, "the unbudgeted forward phase repeats the forward search");
+        // The cap binds on the pops of all phases together, in every phase.
+        for cap in [budget - 1, budget + 1, 2 * budget + 1, total - 1, total] {
+            let token = CancelToken::armed(None, None);
+            let q = query(&grid, &field, &pins, &hard, cap, &token);
+            let path = solver.soft_path(&q, &[src], &comps(&[dst]), budget);
+            assert_eq!(path.is_some(), cap == total, "cap {cap}");
+            assert_eq!(token.expansions(), cap as u64, "cap {cap}");
+        }
+    }
+
+    #[test]
+    fn walled_in_target_is_searched_from_its_pocket() {
+        let (grid, plan, src, dst, pins) = pocket();
+        // Without stitch costs every planar step costs the heuristic's
+        // unit, so A* runs straight at its goal once it leaves the pocket.
+        let field = CostField::build(&grid, &plan, 1, 10, 5, 2, false);
+        let mut solver = DialSolver::new(field.span);
+        let hard = vec![false; grid.cell_count()];
+        let budget = soft_budget(grid.cell_count());
+        let token = CancelToken::armed(None, None);
+        let q = query(&grid, &field, &pins, &hard, usize::MAX, &token);
+        let (forward, fwd, _) = one_way(&mut solver, &q, src, &[dst], false);
+        let (reverse, rev, _) = one_way(&mut solver, &q, src, &[dst], true);
+        assert!(
+            fwd > budget && rev < budget,
+            "forward floods ({fwd} pops), reverse stays near the pocket ({rev})"
+        );
+        let token = CancelToken::armed(None, None);
+        let path = solver.find_soft_path(
+            &grid, &field, 0, &pins, &hard, &[src], &comps(&[dst]), usize::MAX, &token,
+        );
+        // Forward overran its budget, the reverse phase found the path.
+        assert_eq!(path, reverse);
+        assert_eq!(token.expansions(), (budget + rev) as u64);
+        let path = path.expect("the ring is soft");
+        assert_eq!(path.first(), Some(&src));
+        assert_eq!(path.last(), Some(&dst));
+        let cost = |p: &[u32]| walk(&grid, &plan, &field, &pins, &hard, src, &[dst], p);
+        assert_eq!(cost(&path), cost(&forward.expect("forward path")));
+        assert_eq!(cost(&path).map(|c| c.0), Ok(1), "one ring cell is the fewest");
     }
 }

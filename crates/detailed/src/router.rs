@@ -1601,6 +1601,24 @@ mod tests {
 
     #[test]
     fn blocker_round_recovers_a_walled_in_net() {
+        assert_walled_in_net_recovered(walled_in_nets());
+    }
+
+    #[test]
+    fn blocker_round_recovers_a_net_whose_target_is_walled_in() {
+        // `a`'s pins swapped: the soft search's source now sits in the
+        // open and its target in the pocket, so the forward search
+        // overruns its level-0 budget and the reverse one finds the gate.
+        let mut nets = walled_in_nets();
+        let pins: Vec<Pin> = nets[0].pins().iter().rev().copied().collect();
+        nets[0] = Net::new("a", pins);
+        assert_walled_in_net_recovered(nets);
+    }
+
+    /// Routes `nets` (net `a` walled in as in [`walled_in_nets`]) and
+    /// checks the blocker round recovered `a` through the gate and
+    /// rerouted `b` around it, hard-clean, connected and short-free.
+    fn assert_walled_in_net_recovered(nets: Vec<Net>) {
         // Ordered by length, `b` routes first and takes the via cell
         // above `a`'s pin; nothing short of ripping `b` frees it.
         let config = DetailedConfig {
@@ -1608,11 +1626,11 @@ mod tests {
             ..DetailedConfig::default()
         };
         let gate = GridPoint::new(20, 40, Layer::new(1));
-        let (_, _, alone) = route(walled_in_nets()[1..].to_vec(), &config);
+        let (_, _, alone) = route(nets[1..].to_vec(), &config);
         assert_eq!(alone.routed_count, 1);
         assert!(covers(&alone.geometry[0], gate), "b's own route walls a in");
 
-        let (c, plan, res) = route(walled_in_nets(), &config);
+        let (c, plan, res) = route(nets, &config);
         assert_eq!(res.routed, vec![true, true], "a recovered, b rerouted");
         assert!(covers(&res.geometry[0], gate), "a leaves its pin through the gate");
         assert!(!covers(&res.geometry[1], gate), "b was ripped off the gate");

@@ -104,6 +104,22 @@ pub const RULES: &[Rule] = &[
         compare_min: Some(true),
         ceiling_ns: None,
     },
+    // Full flows are deterministic CPU-bound routing end to end, so the
+    // min statistic is the honest one. The S38584 flow spends most of
+    // its time in the detailed router's rip-up tail; its ceiling sits
+    // near 2× its median, so the tail's speed cannot quietly erode.
+    Rule {
+        pattern: "full_flow_*",
+        tolerance_pct: None,
+        compare_min: Some(true),
+        ceiling_ns: None,
+    },
+    Rule {
+        pattern: "full_flow_s38584_quick/stitch_aware",
+        tolerance_pct: None,
+        compare_min: None,
+        ceiling_ns: Some(360_000_000),
+    },
 ];
 
 /// One benchmark's parsed measurements.
@@ -365,6 +381,23 @@ mod tests {
         let base = vec![entry("detailed_routing/wo_stitch", 1_400_000, 1_350_000)];
         let current = vec![entry("detailed_routing/wo_stitch", 1_500_000, 1_400_000)];
         assert!(compare(&base, &current, 25, RULES).is_empty());
+    }
+
+    #[test]
+    fn full_flows_compare_minima_and_the_s38584_flow_has_a_ceiling() {
+        let (_, use_min, ceiling) = policy_for("full_flow_s9234_quick/baseline", 25, RULES);
+        assert!(use_min);
+        assert_eq!(ceiling, None);
+        let (tolerance, use_min, ceiling) =
+            policy_for("full_flow_s38584_quick/stitch_aware", 25, RULES);
+        assert_eq!((tolerance, use_min), (25, true));
+        assert!(ceiling.is_some());
+        // A flow slowed past the ceiling fails on it alone, even against
+        // a baseline regenerated from the slow run.
+        let slow = vec![entry("full_flow_s38584_quick/stitch_aware", 800_000_000, 790_000_000)];
+        let failures = compare(&slow, &slow, 25, RULES);
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].contains("ceiling"), "{failures:?}");
     }
 
     #[test]

@@ -112,6 +112,12 @@ echo "=== bench-regression gate (sharded pipeline vs committed baseline) ==="
 # monolithic route); the gate catches slower erosion on top.
 bench_gate shard 60
 
+echo "=== bench-regression gate (full flows vs committed baseline) ==="
+# The S38584 flow is dominated by the detailed router's rip-up tail;
+# the gate compares minima (set in the committed benchgate rules) and
+# holds that flow under an absolute ceiling on top.
+bench_gate flow 60
+
 echo "=== delta differential harness (incremental vs from-scratch) ==="
 cargo test -q --release --offline -p mebl-bench --test delta
 

@@ -49,12 +49,28 @@ fn stitch_aware_quick_seeds_audit_clean() {
 #[test]
 fn walled_in_net_recovered_by_blocker_round_audits_clean() {
     let at = |x, y, l| Pin::new(Point::new(x, y), Layer::new(l));
+    assert_walled_in_recovery_audits_clean(vec![at(20, 40, 0), at(70, 70, 0)]);
+}
+
+/// The same case with `a`'s pins swapped, so the soft search starts in
+/// the open and its target pin is the walled-in one: the search runs
+/// from the pocket side.
+#[test]
+fn walled_in_target_recovered_by_blocker_round_audits_clean() {
+    let at = |x, y, l| Pin::new(Point::new(x, y), Layer::new(l));
+    assert_walled_in_recovery_audits_clean(vec![at(70, 70, 0), at(20, 40, 0)]);
+}
+
+/// Routes net `a` with `a_pins` (one of them at the walled-in (20, 40))
+/// next to net `b` and checks the strict audit of the outcome.
+fn assert_walled_in_recovery_audits_clean(a_pins: Vec<Pin>) {
+    let at = |x, y, l| Pin::new(Point::new(x, y), Layer::new(l));
     let circuit = Circuit::new(
         "walled",
         Rect::new(0, 0, 89, 89),
         3,
         vec![
-            Net::new("a", vec![at(20, 40, 0), at(70, 70, 0)]),
+            Net::new("a", a_pins),
             Net::new("b", vec![at(19, 40, 0), at(21, 40, 0), at(20, 39, 1), at(20, 41, 1)]),
         ],
     );

@@ -180,6 +180,10 @@ pub(crate) struct DialSolver {
     /// Soft-search cells discovered for the next level (packed
     /// coordinates), queued once the current level is exhausted.
     next_level: Vec<u64>,
+    /// Work list of the hard search's pocket check (packed coordinates).
+    walk: Vec<u64>,
+    /// Cells the pocket check has reached.
+    walked: FastSet<u32>,
     epoch: u32,
     queue: BucketQueue<u64>,
 }
@@ -204,6 +208,16 @@ const FLAGS_MASK: u64 = 7;
 const DIR_SOURCE: u64 = 6;
 /// Most target-component boxes the heuristic keeps (see [`TargetBoxes`]).
 const MAX_H_BOXES: usize = 8;
+/// Forward pop at which the hard search checks whether its targets are
+/// walled in (see [`DialSolver::walled_in`]), and the most cells that
+/// check pops. On S38584 at net scale 0.15 the 8,855 successful hard
+/// searches popped a median of 110 cells. The 1,812 failed ones popped
+/// 6.90 M cells, nearly all in the 230 that popped more than 1,024 cells
+/// each, and in 229 of those a walk from the target side reaches at most
+/// 8 cells. A thousand pops lets nearly every search that will succeed
+/// finish unchecked, and bounds the check's own cost by the forward work
+/// already spent.
+const WALL_PROBE_AT: usize = 1024;
 /// Node-id deltas per direction: -x, +x, -y, +y, -z, +z. The y and z
 /// strides are grid-dependent and patched in per search.
 #[inline]
@@ -399,6 +413,8 @@ impl DialSolver {
             cells: Vec::new(),
             levels: Vec::new(),
             next_level: Vec::new(),
+            walk: Vec::new(),
+            walked: FastSet::default(),
             epoch: 0,
             queue: BucketQueue::with_span(span),
         }
@@ -488,8 +504,15 @@ impl DialSolver {
     ///
     /// Matches the legacy engine's contract: the returned path includes
     /// the source cell it grew from and ends at the reached target;
-    /// `None` on exhaustion (window, `node_cap`) or cancellation.
-    /// `sources` must be sorted for deterministic tie-breaking.
+    /// `None` on exhaustion (window, `node_cap`) or cancellation, and
+    /// when the pocket check proves the targets walled in: at the
+    /// [`WALL_PROBE_AT`]-th pop, a walk from the target side (see
+    /// [`DialSolver::walled_in`]) that runs out of cells before meeting
+    /// the forward search ends the search, since the full search would
+    /// also have exhausted its window. The walk's pops charge `cancel`
+    /// but not `node_cap`, so every returned path is the one the search
+    /// without the check returns. `sources` must be sorted for
+    /// deterministic tie-breaking.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn find_path(
         &mut self,
@@ -502,6 +525,28 @@ impl DialSolver {
         margin: Coord,
         node_cap: usize,
         cancel: &CancelToken,
+    ) -> Option<Vec<u32>> {
+        self.hard_path(
+            grid, field, net, own_pins, sources, target_comps, margin, node_cap, cancel,
+            WALL_PROBE_AT,
+        )
+    }
+
+    /// [`DialSolver::find_path`] with the pocket check run at the
+    /// `probe_at`-th forward pop (never, if the search stops first).
+    #[allow(clippy::too_many_arguments)]
+    fn hard_path(
+        &mut self,
+        grid: &DetailedGrid,
+        field: &CostField,
+        net: u32,
+        own_pins: &FastSet<Point>,
+        sources: &[u32],
+        target_comps: &[FastSet<u32>],
+        margin: Coord,
+        node_cap: usize,
+        cancel: &CancelToken,
+        probe_at: usize,
     ) -> Option<Vec<u32>> {
         if sources.is_empty() || target_comps.iter().all(FastSet::is_empty) {
             return None;
@@ -541,6 +586,11 @@ impl DialSolver {
             if cancel.charge_expansions(1) {
                 return None;
             }
+            if expanded == probe_at
+                && self.walled_in(grid, &moves, net, target_comps, tag, cancel)
+            {
+                return None;
+            }
 
             // Via moves keep (x, y), so both share this pop's h value;
             // planar moves shift a coordinate and re-evaluate.
@@ -573,6 +623,71 @@ impl DialSolver {
             }
         }
         None
+    }
+
+    /// The hard search's pocket check: walks from every cell of
+    /// `target_comps` over the cells `net` may enter inside the search's
+    /// window, with the search's own move set and no costs. Returns
+    /// `true`, and the search gives up, when the walk runs out of cells
+    /// without meeting a cell the forward search has discovered (epoch
+    /// `tag`), or when `cancel` fires. Returns `false`, and the search
+    /// resumes, when the walk meets a discovered cell or would pop more
+    /// than [`WALL_PROBE_AT`] cells.
+    ///
+    /// An emptied walk is a proof: the hard rules key on the (x, y) the
+    /// two cells of a move share, so the walk reaches every cell from
+    /// which a forward path leads into a target, and a source is one of
+    /// them exactly when some path exists. Each pop charges `cancel`
+    /// once. The walk writes no cell word, so a resumed search pops
+    /// exactly as it would have without the check.
+    fn walled_in(
+        &mut self,
+        grid: &DetailedGrid,
+        moves: &Moves<'_>,
+        net: u32,
+        target_comps: &[FastSet<u32>],
+        tag: u64,
+        cancel: &CancelToken,
+    ) -> bool {
+        let Self { cells, walk, walked, .. } = self;
+        let discovered = |v: u32| {
+            let c = cells[v as usize];
+            c & TAG_MASK == tag && c & DISCOVERED != 0
+        };
+        let (w, rows) = (grid.width(), grid.height());
+        walk.clear();
+        walked.clear();
+        for &t in target_comps.iter().flatten() {
+            if discovered(t) {
+                return false;
+            }
+            walked.insert(t);
+            let rest = t / w;
+            walk.push(pack(t % w, rest % rows, rest / rows));
+        }
+        let mut pops = 0usize;
+        let mut cand = [(0u32, 0u64, 0u32, 0u64); 4];
+        while let Some(packed) = walk.pop() {
+            if pops == WALL_PROBE_AT {
+                return false;
+            }
+            pops += 1;
+            if cancel.charge_expansions(1) {
+                return true;
+            }
+            let (x, y, l) = unpack(packed);
+            let u = (l * rows + y) * w + x;
+            let nc = moves.expand::<true>(u, packed, x, y, l, &mut cand);
+            for &(v, q, _, _) in &cand[..nc] {
+                if discovered(v) {
+                    return false;
+                }
+                if grid.passable(v, net) && walked.insert(v) {
+                    walk.push(q);
+                }
+            }
+        }
+        true
     }
 
     /// Soft variant of [`DialSolver::find_path`] for walled-in nets,
@@ -1301,5 +1416,181 @@ mod tests {
         let cost = |p: &[u32]| walk(&grid, &plan, &field, &pins, &hard, src, &[dst], p);
         assert_eq!(cost(&path), cost(&forward.expect("forward path")));
         assert_eq!(cost(&path).map(|c| c.0), Ok(1), "one ring cell is the fewest");
+    }
+
+    /// Plain reachability oracle for the hard search: the cells reached
+    /// from `from` over legal moves that stay inside `win` and enter
+    /// only cells `net` may pass.
+    fn reachable(
+        grid: &DetailedGrid,
+        plan: &StitchPlan,
+        net: u32,
+        own_pins: &FastSet<Point>,
+        win: GridWindow,
+        from: &[u32],
+    ) -> FastSet<u32> {
+        let mut seen: FastSet<u32> = from.iter().copied().collect();
+        let mut todo: Vec<u32> = from.to_vec();
+        while let Some(u) = todo.pop() {
+            let pu = grid.point(u);
+            for q in grid.moves(pu) {
+                let inside = win.contains(q.x as u32, q.y as u32);
+                let v = grid.node(q);
+                let enters = inside && legal_step(plan, own_pins, pu, q) && grid.passable(v, net);
+                if enters && seen.insert(v) {
+                    todo.push(v);
+                }
+            }
+        }
+        seen
+    }
+
+    /// The window a hard search between `src` and `dsts` runs in.
+    fn window(grid: &DetailedGrid, src: u32, dsts: &[u32], margin: Coord) -> GridWindow {
+        let mut bbox = (i64::MAX, i64::MAX, i64::MIN, i64::MIN);
+        for &c in dsts.iter().chain([&src]) {
+            let p = grid.point(c);
+            let (x, y) = (i64::from(p.x), i64::from(p.y));
+            bbox = (bbox.0.min(x), bbox.1.min(y), bbox.2.max(x), bbox.3.max(y));
+        }
+        GridWindow::clamped(grid.width(), grid.height(), bbox, i64::from(margin))
+    }
+
+    #[test]
+    fn prop_pocket_check_keeps_every_hard_search_result() {
+        prop_check!(
+            Config::with_cases(96),
+            (
+                ints(6u32..=20),
+                ints(4u32..=12),
+                ints(2u8..=4),
+                ints(0u32..=50),
+                ints(0u64..=u64::MAX),
+                ints(0i32..=6),
+                ints(1usize..=2),
+                ints(0u32..=7),
+            ),
+            |(w, h, layers, density, seed, margin, n_dsts, rings)| {
+                let outline = Rect::new(0, 0, w as Coord - 1, h as Coord - 1);
+                // Lines every 5 columns put stitch rules into small grids.
+                let stitch = StitchConfig { period: 5, epsilon: 1, escape_width: 2 };
+                let plan = StitchPlan::new(outline, stitch);
+                let mut grid = DetailedGrid::new(outline, layers);
+                let mut rng = Xoshiro256pp::from_seed(seed);
+                let cells = grid.cell_count();
+                for node in 0..cells as u32 {
+                    if rng.gen_range(0u32..100) < density {
+                        grid.occupy(node, 1 + rng.gen_range(0u32..3));
+                    }
+                }
+                let src = rng.gen_index(cells) as u32;
+                let dsts: Vec<u32> = (0..n_dsts).map(|_| rng.gen_index(cells) as u32).collect();
+                prop_assume!(!dsts.contains(&src) && dsts.first() != dsts.get(1));
+                let pins: Vec<u32> = dsts.iter().chain([&src]).copied().collect();
+                // Ring the pins picked by `rings` with net 7 on every
+                // layer, at Chebyshev radius 1 or 2, sometimes leaving a gap.
+                for (i, &pin) in pins.iter().enumerate() {
+                    if rings >> i & 1 == 0 {
+                        continue;
+                    }
+                    let c = grid.point(pin);
+                    let r: i32 = rng.gen_range(1i32..3);
+                    let gap = rng.gen_bool(0.3).then(|| (c.x + r, c.y));
+                    for y in c.y - r..=c.y + r {
+                        for x in c.x - r..=c.x + r {
+                            let on_ring = (x - c.x).abs().max((y - c.y).abs()) == r;
+                            let inside = x >= 0 && y >= 0 && x < w as Coord && y < h as Coord;
+                            if on_ring && inside && gap != Some((x, y)) {
+                                for l in 0..layers {
+                                    grid.occupy(grid.node(GridPoint::new(x, y, Layer::new(l))), 7);
+                                }
+                            }
+                        }
+                    }
+                }
+                for &pin in &pins {
+                    grid.occupy(pin, 0);
+                }
+                let own: FastSet<Point> = pins.iter().map(|&c| grid.point(c).point()).collect();
+                let field = field_for(&grid, &plan);
+                let targets: Vec<FastSet<u32>> = dsts.iter().map(|&d| comps(&[d]).remove(0)).collect();
+                let token = CancelToken::default();
+                let mut solver = DialSolver::new(field.span);
+                let mut search = |probe_at: usize| {
+                    solver.hard_path(
+                        &grid, &field, 0, &own, &[src], &targets, margin, usize::MAX, &token, probe_at,
+                    )
+                };
+                let probe_at = 2 + rng.gen_index(63);
+                let unchecked = search(usize::MAX);
+                prop_assert_eq!(search(1), unchecked.clone(), "check at the first pop");
+                prop_assert_eq!(search(probe_at), unchecked.clone(), "check at pop {probe_at}");
+                let reach = reachable(&grid, &plan, 0, &own, window(&grid, src, &dsts, margin), &[src]);
+                let oracle = dsts.iter().any(|d| reach.contains(d));
+                prop_assert_eq!(unchecked.is_some(), oracle, "search vs reachability");
+            }
+        );
+    }
+
+    #[test]
+    fn ringed_target_stops_at_the_probe() {
+        let (grid, plan, src, dst, pins) = pocket();
+        let field = field_for(&grid, &plan);
+        let mut solver = DialSolver::new(field.span);
+        let margin = 18;
+        let win = window(&grid, src, &[dst], margin);
+        let pocket_cells = reachable(&grid, &plan, 0, &pins, win, &[dst]).len();
+        let open_cells = reachable(&grid, &plan, 0, &pins, win, &[src]).len();
+        assert!(open_cells > WALL_PROBE_AT, "the open side floods {open_cells} cells");
+        let token = CancelToken::armed(None, None);
+        let found = solver.find_path(
+            &grid, &field, 0, &pins, &[src], &comps(&[dst]), margin, usize::MAX, &token,
+        );
+        assert!(found.is_none());
+        assert_eq!(
+            token.expansions(),
+            (WALL_PROBE_AT + pocket_cells) as u64,
+            "forward pops up to the probe, then one walk pop per pocket cell"
+        );
+        // Without the check the search floods everything the source reaches.
+        let token = CancelToken::armed(None, None);
+        let found = solver.hard_path(
+            &grid, &field, 0, &pins, &[src], &comps(&[dst]), margin, usize::MAX, &token, usize::MAX,
+        );
+        assert!(found.is_none());
+        assert_eq!(token.expansions(), open_cells as u64);
+    }
+
+    #[test]
+    fn pocket_walk_pops_charge_the_token_but_not_the_node_cap() {
+        // The wall of `walled` with one gap in its top row: the search
+        // must flood its side of the wall before it finds the way round,
+        // so it passes the probe, and the walk from the target side then
+        // overruns its limit or meets the forward search through the gap.
+        let (mut grid, plan, src, dst, pins) = walled();
+        let top = grid.height() as Coord - 1;
+        grid.free(grid.node(GridPoint::new(20, top, Layer::new(0))));
+        let field = field_for(&grid, &plan);
+        let mut solver = DialSolver::new(field.span);
+        let mut search = |cap: usize, probe_at: usize, token: &CancelToken| {
+            solver.hard_path(&grid, &field, 0, &pins, &[src], &comps(&[dst]), 40, cap, token, probe_at)
+        };
+        let token = CancelToken::armed(None, None);
+        let path = search(usize::MAX, usize::MAX, &token).expect("round the wall");
+        let forward = token.expansions();
+        assert!(forward > WALL_PROBE_AT as u64, "{forward} forward pops");
+        let token = CancelToken::armed(None, None);
+        assert_eq!(search(usize::MAX, WALL_PROBE_AT, &token).as_ref(), Some(&path));
+        let walked = token.expansions() - forward;
+        assert!(walked > 0, "the walk ran");
+        // Exactly `forward` pops fit the cap with the walk's pops on top;
+        // one fewer does not.
+        let cap = forward as usize;
+        let token = CancelToken::armed(None, None);
+        assert_eq!(search(cap, WALL_PROBE_AT, &token).as_ref(), Some(&path));
+        assert_eq!(token.expansions(), forward + walked);
+        let token = CancelToken::armed(None, None);
+        assert!(search(cap - 1, WALL_PROBE_AT, &token).is_none());
+        assert_eq!(token.expansions(), forward - 1 + walked);
     }
 }

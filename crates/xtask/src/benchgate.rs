@@ -118,7 +118,7 @@ pub const RULES: &[Rule] = &[
         pattern: "full_flow_s38584_quick/stitch_aware",
         tolerance_pct: None,
         compare_min: None,
-        ceiling_ns: Some(360_000_000),
+        ceiling_ns: Some(220_000_000),
     },
 ];
 

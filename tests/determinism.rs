@@ -2,8 +2,9 @@
 //! same inputs must give byte-identical outputs across runs.
 
 use mebl_assign::random_instances;
-use mebl_netlist::{BenchmarkSpec, GenerateConfig};
-use mebl_route::{Router, RouterConfig};
+use mebl_detailed::route_detailed;
+use mebl_netlist::{BenchmarkSpec, Circuit, GenerateConfig};
+use mebl_route::{CancelToken, Router, RouterConfig, RoutingOutcome};
 
 /// FNV-1a over a byte stream, for golden-value fingerprints.
 fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
@@ -97,4 +98,58 @@ fn generator_streams_are_pinned() {
         iv_hash, 0xfe14_bc63_98df_e19b,
         "instance generator stream drifted (interval hash {iv_hash:#x})"
     );
+}
+
+/// S38584 at quick scale from generator seed 2013: the `flow` bench's
+/// instance, whose detailed stage runs the whole rip-up tail.
+fn s38584_quick() -> Circuit {
+    BenchmarkSpec::by_name("S38584")
+        .unwrap()
+        .generate(&GenerateConfig::quick(2013))
+}
+
+/// FNV-1a of a run's detailed geometry and routed mask.
+fn detailed_hash(outcome: &RoutingOutcome) -> u64 {
+    fnv1a(format!("{:?}|{:?}", outcome.detailed.geometry, outcome.detailed.routed).bytes())
+}
+
+/// Golden fingerprints of the detailed geometry on S38584 quick, in both
+/// flows. Same-run-twice tests cannot catch a search speed-up that
+/// quietly changes a path; these pinned hashes do. A change that means
+/// to move paths updates the constants and says why in CHANGES.md.
+#[test]
+fn s38584_detailed_geometry_is_pinned() {
+    let circuit = s38584_quick();
+    for (label, config, golden) in [
+        ("stitch-aware", RouterConfig::stitch_aware(), 0x45b8_54d8_dd14_3754),
+        ("baseline", RouterConfig::baseline(), 0x52f0_9981_794a_e02f),
+    ] {
+        let hash = detailed_hash(&Router::new(config).route(&circuit));
+        assert_eq!(hash, golden, "{label} detailed geometry drifted (hash {hash:#x})");
+    }
+}
+
+/// Work bound on the stitch-aware detailed stage of S38584 quick, read
+/// from an armed token (one charge per search pop). Expansions are
+/// deterministic, so unlike a timing this gate has no noise: the stage
+/// pops about 1.01 M cells; before the hard search's pocket check it
+/// popped 1.97 M.
+#[test]
+fn s38584_detailed_expansions_are_bounded() {
+    let circuit = s38584_quick();
+    let config = RouterConfig::stitch_aware();
+    let outcome = Router::new(config.clone()).route(&circuit);
+    let token = CancelToken::armed(None, None);
+    let mut detailed = config.detailed;
+    detailed.cancel = token.clone();
+    let rerun = route_detailed(
+        &circuit,
+        &outcome.plan,
+        &outcome.global.graph,
+        &outcome.tracks,
+        &detailed,
+    );
+    assert_eq!(rerun.geometry, outcome.detailed.geometry);
+    let pops = token.expansions();
+    assert!(pops <= 1_100_000, "detailed stage popped {pops} cells");
 }
